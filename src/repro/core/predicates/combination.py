@@ -25,7 +25,7 @@ for candidate generation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.predicates.base import Predicate
 from repro.text.minhash import MinHasher, MinHashSignature, minhash_similarity
@@ -114,16 +114,31 @@ class GES(_CombinationBase):
             raise ValueError("cins must be within [0, 1]")
         self.cins = cins
 
-    def ges_score(self, query_words: Sequence[str], tuple_words: Sequence[str]) -> float:
-        """Exact GES between two word sequences (equation 3.14)."""
+    def ges_score(
+        self,
+        query_words: Sequence[str],
+        tuple_words: Sequence[str],
+        memo: Optional[Dict[Tuple[str, str], float]] = None,
+    ) -> float:
+        """Exact GES between two word sequences (equation 3.14).
+
+        ``memo`` maps ``(query_word, tuple_word)`` to their edit similarity.
+        Pass one dict for all the tuples scored against one query, so each
+        distinct word pair runs the edit-distance kernel once.
+        """
         total_weight = sum(self._weight(word) for word in query_words)
         if total_weight == 0.0:
             return 1.0 if not tuple_words else 0.0
-        cost = self._transformation_cost(query_words, tuple_words)
+        cost = self._transformation_cost(
+            query_words, tuple_words, {} if memo is None else memo
+        )
         return 1.0 - min(cost / total_weight, 1.0)
 
     def _transformation_cost(
-        self, query_words: Sequence[str], tuple_words: Sequence[str]
+        self,
+        query_words: Sequence[str],
+        tuple_words: Sequence[str],
+        memo: Dict[Tuple[str, str], float],
     ) -> float:
         """Minimum-cost transformation of the query word sequence into the tuple's."""
         n, m = len(query_words), len(tuple_words)
@@ -133,13 +148,14 @@ class GES(_CombinationBase):
         for j in range(1, m + 1):
             previous[j] = previous[j - 1] + self.cins * tuple_weights[j - 1]
         for i in range(1, n + 1):
+            query_word = query_words[i - 1]
             current = [previous[0] + query_weights[i - 1]] + [0.0] * m
             for j in range(1, m + 1):
-                replace = (
-                    previous[j - 1]
-                    + (1.0 - edit_similarity(query_words[i - 1], tuple_words[j - 1]))
-                    * query_weights[i - 1]
-                )
+                pair = (query_word, tuple_words[j - 1])
+                similarity = memo.get(pair)
+                if similarity is None:
+                    similarity = memo[pair] = edit_similarity(*pair)
+                replace = previous[j - 1] + (1.0 - similarity) * query_weights[i - 1]
                 delete = previous[j] + query_weights[i - 1]
                 insert = current[j - 1] + self.cins * tuple_weights[j - 1]
                 current[j] = min(replace, delete, insert)
@@ -148,9 +164,10 @@ class GES(_CombinationBase):
 
     def _scores(self, query: str) -> Dict[int, float]:
         query_words = self._query_words(query)
+        memo: Dict[Tuple[str, str], float] = {}
         scores: Dict[int, float] = {}
         for tid in self._candidates(query_words):
-            scores[tid] = self.ges_score(query_words, self._word_lists[tid])
+            scores[tid] = self.ges_score(query_words, self._word_lists[tid], memo)
         return scores
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
@@ -208,12 +225,13 @@ class GESJaccard(GES):
 
     def _scores(self, query: str) -> Dict[int, float]:
         query_words = self._query_words(query)
+        memo: Dict[Tuple[str, str], float] = {}
         scores: Dict[int, float] = {}
         for tid in self._candidates(query_words):
             tuple_words = self._word_lists[tid]
             if self.filter_score(query_words, tuple_words) < self.threshold:
                 continue
-            scores[tid] = self.ges_score(query_words, tuple_words)
+            scores[tid] = self.ges_score(query_words, tuple_words, memo)
         return scores
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
@@ -286,8 +304,17 @@ class SoftTFIDF(_CombinationBase):
             for tid in range(len(self._word_lists))
         ]
 
-    def _soft_score(self, query_weights: Dict[str, float], tid: int) -> float:
-        """Soft tf-idf of one tuple against precomputed query weights."""
+    def _soft_score(
+        self,
+        query_weights: Dict[str, float],
+        tid: int,
+        memo: Dict[Tuple[str, str], float],
+    ) -> float:
+        """Soft tf-idf of one tuple against precomputed query weights.
+
+        ``memo`` maps ``(query_word, tuple_word)`` to their Jaro-Winkler
+        similarity, shared by all the tuples scored against one query.
+        """
         tuple_words = self._word_lists[tid]
         if not tuple_words:
             return 0.0
@@ -299,7 +326,10 @@ class SoftTFIDF(_CombinationBase):
             best_similarity = 0.0
             best_word = None
             for other in tuple_words:
-                similarity = jaro_winkler(word, other)
+                pair = (word, other)
+                similarity = memo.get(pair)
+                if similarity is None:
+                    similarity = memo[pair] = jaro_winkler(word, other)
                 if similarity > best_similarity:
                     best_similarity = similarity
                     best_word = other
@@ -319,9 +349,10 @@ class SoftTFIDF(_CombinationBase):
         query_weights = tfidf_weights(
             Counter(query_words), self._idf, default_idf=self._average_idf
         )
+        memo: Dict[Tuple[str, str], float] = {}
         scores: Dict[int, float] = {}
         for tid in self._candidates(query_words):
-            score = self._soft_score(query_weights, tid)
+            score = self._soft_score(query_weights, tid, memo)
             if score > 0.0:
                 scores[tid] = score
         return scores
@@ -335,5 +366,5 @@ class SoftTFIDF(_CombinationBase):
         query_weights = tfidf_weights(
             Counter(query_words), self._idf, default_idf=self._average_idf
         )
-        score = self._soft_score(query_weights, tid)
+        score = self._soft_score(query_weights, tid, {})
         return score if score > 0.0 else 0.0

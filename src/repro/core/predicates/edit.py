@@ -13,7 +13,7 @@ edit distance.  The same structure is used here:
   prune by threshold) scores every tuple that shares at least one q-gram with
   the query.
 * :meth:`EditDistance.select` applies the q-gram count filter and the length
-  filter for the requested threshold before running a banded edit-distance
+  filter for the requested threshold before running a bit-parallel edit-distance
   verification, which is how the paper keeps this predicate fast.
 """
 
@@ -28,6 +28,22 @@ from repro.text.strings import edit_similarity, levenshtein_within
 from repro.text.tokenize import QgramTokenizer, normalize_string
 
 __all__ = ["EditDistance"]
+
+
+def _max_distance(longest: int, threshold: float) -> int:
+    """The largest distance ``d`` whose similarity ``1 - d / longest`` (as
+    verification computes it) still reaches ``threshold``.
+
+    ``int((1 - threshold) * longest)`` alone is not it: ``(1 - 0.8) * 10``
+    is ``1.9999...`` in floating point, which would drop a tuple scoring
+    exactly 0.8.
+    """
+    distance = int((1.0 - threshold) * longest)
+    while 1.0 - (distance + 1) / longest >= threshold:
+        distance += 1
+    while distance > 0 and 1.0 - distance / longest < threshold:
+        distance -= 1
+    return distance
 
 
 class EditDistance(Predicate):
@@ -133,7 +149,7 @@ class EditDistance(Predicate):
             if longest == 0:
                 results.append(ScoredTuple(tid, 1.0))
                 continue
-            max_distance = int((1.0 - threshold) * longest)
+            max_distance = _max_distance(longest, threshold)
             if abs(len(normalized_query) - len(candidate)) > max_distance:
                 continue
             required = max(len(query_tokens), len(self._token_lists[tid])) - max_distance * self.q

@@ -94,9 +94,6 @@ class DeclarativeEditDistance(DeclarativePredicate):
         q = getattr(self.tokenizer, "q", 2)
         query_length = len(normalized)
         num_query_tokens = len(self.tokenizer.tokenize(query))
-        # sim >= threshold implies ed <= (1 - threshold) * max(|Q|, |D|), which
-        # yields the q-gram count filter and the length filter pushed into the
-        # candidate-generation statement below.
         rows = self._select_rows(normalized, threshold, q, query_length, num_query_tokens)
         scored = [
             ScoredTuple(int(tid), float(score))
@@ -121,28 +118,31 @@ class DeclarativeEditDistance(DeclarativePredicate):
     ) -> List[tuple]:
         """Candidate generation with count + length filters, then UDF verify.
 
-        The correlated-subquery form of the filter is kept out of the main
-        statement for portability: the length and count bounds are computed by
-        joining the shared per-tuple token counts (``BASE_DL``) and the
-        normalized strings (``BASE_NORM``) directly.
+        Each filter is a lower bound ``lb`` on the edit distance, and a
+        candidate is kept while ``1.0 - lb / longest >= threshold``: the same
+        float expression ``EDITSIM`` applies to the exact distance, so a
+        tuple scoring exactly ``threshold`` is never filtered out.  The
+        bounds are the length difference and ``(max(|G_Q|, |G_D|) -
+        common) / q``, since one edit destroys at most ``q`` q-grams.  The
+        per-tuple token counts come from the shared core's ``BASE_DL`` and
+        the normalized strings from ``BASE_NORM``.
         """
+        longest = (
+            f"(CASE WHEN F.blen > {query_length} THEN F.blen ELSE {query_length} END)"
+        )
+        most_tokens = (
+            f"(CASE WHEN F.dl > {num_query_tokens} THEN F.dl ELSE {num_query_tokens} END)"
+        )
         return self.backend.query(
             "SELECT F.tid, EDITSIM(F.string, ?) AS score "
-            "FROM (SELECT R1.tid AS tid, N.string AS string, Q.dl AS cnt, "
+            "FROM (SELECT R1.tid AS tid, N.string AS string, Q.dl AS dl, "
             "             LENGTH(N.string) AS blen, COUNT(*) AS common "
             f"      FROM {self.tbl('BASE_TOKENS')} R1, QUERY_TOKENS R2, "
             f"           {self.tbl('BASE_DL')} Q, {self.tbl('BASE_NORM')} N "
             "      WHERE R1.token = R2.token AND Q.tid = R1.tid AND N.tid = R1.tid "
-            "      GROUP BY R1.tid, Q.dl, N.string "
-            "      HAVING COUNT(*) >= "
-            f"        (CASE WHEN Q.dl > {num_query_tokens} THEN Q.dl ELSE {num_query_tokens} END) "
-            f"        - ((1.0 - {threshold}) * "
-            f"           (CASE WHEN LENGTH(N.string) > {query_length} "
-            f"                 THEN LENGTH(N.string) ELSE {query_length} END) * {q}) "
-            f"        AND ABS(LENGTH(N.string) - {query_length}) <= "
-            f"            (1.0 - {threshold}) * "
-            f"            (CASE WHEN LENGTH(N.string) > {query_length} "
-            f"                  THEN LENGTH(N.string) ELSE {query_length} END)"
-            "      ) F",
-            [literal],
+            "      GROUP BY R1.tid, Q.dl, N.string) F "
+            f"WHERE {longest} = 0 "
+            f"   OR (1.0 - ({most_tokens} - F.common) * 1.0 / {q} / {longest} >= ? "
+            f"       AND 1.0 - ABS(F.blen - {query_length}) * 1.0 / {longest} >= ?)",
+            [literal, threshold, threshold],
         )

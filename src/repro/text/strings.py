@@ -4,16 +4,35 @@ These are the building blocks for the edit-based and combination predicates of
 the paper (chapter 3.4 and 3.5):
 
 * :func:`levenshtein` -- classic unit-cost edit distance.
+* :func:`levenshtein_within` -- the distance if it is within a budget, for
+  thresholded selection.
 * :func:`edit_similarity` -- the paper's normalized edit similarity
   ``1 - tc(Q, D) / max(|Q|, |D|)`` (equation 3.13).
 * :func:`jaro` and :func:`jaro_winkler` -- the census-style name matching
   similarities used as the word-level matcher inside SoftTFIDF.
+
+The kernels return exactly what the textbook definitions give; only the way
+they compute it is fast:
+
+* :func:`levenshtein` is Myers' bit-parallel algorithm (JACM 1999) in
+  Hyyrö's formulation for global edit distance.  The shorter string is the
+  pattern; Python ints serve as bit-vectors of any length, one bit per
+  pattern character, holding the vertical +1/-1 deltas of one column of the
+  dynamic-programming table.  Each character of the longer string advances a
+  column in a fixed number of integer operations instead of ``m`` cell
+  updates.
+* :func:`jaro` finds each character's match with ``str.find`` over its match
+  window.  Ties follow the classic rule: a character takes the first equal
+  character in its window that no earlier character took.  Transpositions are
+  counted over the two matched sequences, each read in string order.
 
 All functions are pure Python with no third-party dependencies so that they
 can also be registered as UDFs on the SQL backends.
 """
 
 from __future__ import annotations
+
+from operator import ne
 
 __all__ = [
     "levenshtein",
@@ -37,68 +56,52 @@ def levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Keep the shorter string in the inner loop for a smaller row.
-    if len(a) < len(b):
+    # The shorter string is the pattern: one bit per pattern character.
+    if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(
-                previous[j] + 1,       # deletion
-                current[j - 1] + 1,    # insertion
-                previous[j - 1] + cost,  # substitution / copy
-            )
-        previous, current = current, previous
-    return previous[len(b)]
+    m = len(a)
+    if m == 0:
+        return len(b)
+    # peq[ch] has bit i set where a[i] == ch.
+    peq: dict = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # pv / mv: rows whose vertical delta in the current column is +1 / -1;
+    # score: the bottom cell of that column.  Column 0 is 0, 1, ..., m.
+    pv = mask
+    mv = 0
+    score = m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = mask & (mh | ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 def levenshtein_within(a: str, b: str, max_distance: int) -> int | None:
     """Return ``levenshtein(a, b)`` if it is ``<= max_distance``, else ``None``.
 
-    This is the banded variant used by the q-gram filtering step of the
-    edit-distance predicate: candidate tuples only need their exact distance
-    when it can fall under the selection threshold, so the dynamic program is
-    restricted to a diagonal band of width ``2 * max_distance + 1``.
+    Used by the verification step of the edit-distance predicate's
+    thresholded selection: the length difference is a lower bound on the
+    distance, so pairs it already rules out never reach the kernel.
     """
-    if max_distance < 0:
+    if max_distance < 0 or abs(len(a) - len(b)) > max_distance:
         return None
-    if a == b:
-        return 0
-    if abs(len(a) - len(b)) > max_distance:
-        return None
-    if not a or not b:
-        distance = max(len(a), len(b))
-        return distance if distance <= max_distance else None
-    if len(a) < len(b):
-        a, b = b, a
-
-    infinity = max_distance + 1
-    previous = [j if j <= max_distance else infinity for j in range(len(b) + 1)]
-    current = [infinity] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        lo = max(1, i - max_distance)
-        hi = min(len(b), i + max_distance)
-        current[lo - 1] = i if (lo - 1) == 0 and i <= max_distance else infinity
-        for j in range(lo, hi + 1):
-            cb = b[j - 1]
-            cost = 0 if ca == cb else 1
-            best = previous[j - 1] + cost
-            if previous[j] + 1 < best:
-                best = previous[j] + 1
-            if current[j - 1] + 1 < best:
-                best = current[j - 1] + 1
-            current[j] = best
-        if hi + 1 <= len(b):
-            current[hi + 1] = infinity
-        previous, current = current, [infinity] * (len(b) + 1)
-    distance = previous[len(b)]
+    distance = levenshtein(a, b)
     return distance if distance <= max_distance else None
 
 
@@ -133,37 +136,32 @@ def jaro(a: str, b: str) -> float:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return 0.0
-    match_window = max(la, lb) // 2 - 1
-    if match_window < 0:
-        match_window = 0
-    a_matched = [False] * la
-    b_matched = [False] * lb
-
-    matches = 0
-    for i, ca in enumerate(a):
-        lo = max(0, i - match_window)
-        hi = min(lb, i + match_window + 1)
-        for j in range(lo, hi):
-            if b_matched[j] or b[j] != ca:
-                continue
-            a_matched[i] = True
-            b_matched[j] = True
-            matches += 1
-            break
+    window = (la if la > lb else lb) // 2 - 1
+    if window < 0:
+        window = 0
+    b_taken = [False] * lb
+    a_chars = []
+    find = b.find
+    # a[i] may match b[lo:hi] with lo = i - window and hi = i + window + 1;
+    # it takes the first equal character there that no earlier a[i] took.
+    # str.find counts a negative start from the end, hence the clamp at 0.
+    lo, hi = -window, window
+    for ca in a:
+        hi += 1
+        j = find(ca, lo if lo > 0 else 0, hi)
+        lo += 1
+        while j >= 0 and b_taken[j]:
+            j = find(ca, j + 1, hi)
+        if j >= 0:
+            b_taken[j] = True
+            a_chars.append(ca)
+    matches = len(a_chars)
     if matches == 0:
         return 0.0
-
-    transpositions = 0
-    j = 0
-    for i, ca in enumerate(a):
-        if not a_matched[i]:
-            continue
-        while not b_matched[j]:
-            j += 1
-        if ca != b[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
+    # Half the positions where the matched characters, read in order in
+    # each string, differ.
+    b_chars = [cb for cb, taken in zip(b, b_taken) if taken]
+    transpositions = sum(map(ne, a_chars, b_chars)) // 2
 
     m = float(matches)
     return (m / la + m / lb + (m - transpositions) / m) / 3.0

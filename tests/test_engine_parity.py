@@ -13,6 +13,9 @@ differently across realizations).
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from repro.datagen import make_dataset
@@ -196,3 +199,60 @@ def test_exact_blocker_match_sets_identical_through_engine(engine, uis_dataset):
         assert (
             blocked_query.last_self_join_stats.pairs_examined <= baseline_examined
         ), spec
+
+
+def _boundary_corpus():
+    """Queries of lengths 5-30 and variants of each at, and one past, the
+    largest edit distance that still reaches thresholds 0.8 and 0.9, by
+    substitution, deletion and insertion."""
+    rng = random.Random(20070611)
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+    def edited(text, count, kind):
+        chars = list(text)
+        for _ in range(count):
+            pos = rng.randrange(len(chars))
+            if kind == "sub":
+                chars[pos] = rng.choice("0123456789")
+            elif kind == "del":
+                del chars[pos]
+            else:
+                chars.insert(pos, rng.choice("0123456789"))
+        return "".join(chars)
+
+    queries, rows = [], []
+    for length in range(5, 31):
+        query = "".join(rng.choice(letters) for _ in range(length))
+        queries.append(query)
+        rows.append(query)
+        for threshold in (Fraction(8, 10), Fraction(9, 10)):
+            limit = int((1 - threshold) * length)
+            for count in sorted({limit, limit + 1} - {0}):
+                for kind in ("sub", "del", "ins"):
+                    if kind != "del" or count < length:
+                        rows.append(edited(query, count, kind))
+    return queries, rows
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.9])
+def test_edit_distance_select_identical_at_exact_thresholds(engine, threshold):
+    """Direct and declarative select agree bit for bit where the similarity
+    lands exactly on the threshold (``(1 - 0.8) * 10`` is ``1.999...`` in
+    floating point, so a floor-based distance bound drops such tuples)."""
+    queries, rows = _boundary_corpus()
+    base = engine.from_strings(rows)
+    direct = base.predicate("edit_distance")
+    declarative = {
+        backend: base.predicate("edit_distance").realization("declarative").backend(backend)
+        for backend in ("memory", "sqlite")
+    }
+    on_boundary = 0
+    for text in queries:
+        reference = [(m.tid, m.score) for m in direct.select(text, threshold)]
+        on_boundary += sum(score == threshold for _, score in reference)
+        for backend, query in declarative.items():
+            assert [(m.tid, m.score) for m in query.select(text, threshold)] == reference, (
+                backend,
+                text,
+            )
+    assert on_boundary > 0

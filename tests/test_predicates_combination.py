@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.predicates import GES, GESApx, GESJaccard, SoftTFIDF
+from repro.datagen import make_dataset
+from repro.engine import SimilarityEngine
+from repro.text.strings import edit_similarity, jaro_winkler
+from repro.text.weights import tfidf_weights
 
 
 class TestGES:
@@ -159,3 +165,99 @@ class TestSoftTFIDF:
         predicate = SoftTFIDF().fit(company_strings)
         scores = dict(predicate.rank("AT&T Incorporated"))
         assert scores[4] > scores.get(3, 0.0)
+
+
+def _memo_free_ges(predicate, query_words, tuple_words):
+    """Equation 3.14 calling the edit-similarity kernel in every DP cell."""
+    total_weight = sum(predicate._weight(word) for word in query_words)
+    if total_weight == 0.0:
+        return 1.0 if not tuple_words else 0.0
+    n, m = len(query_words), len(tuple_words)
+    query_weights = [predicate._weight(word) for word in query_words]
+    tuple_weights = [predicate._weight(word) for word in tuple_words]
+    previous = [0.0] * (m + 1)
+    for j in range(1, m + 1):
+        previous[j] = previous[j - 1] + predicate.cins * tuple_weights[j - 1]
+    for i in range(1, n + 1):
+        current = [previous[0] + query_weights[i - 1]] + [0.0] * m
+        for j in range(1, m + 1):
+            replace = (
+                previous[j - 1]
+                + (1.0 - edit_similarity(query_words[i - 1], tuple_words[j - 1]))
+                * query_weights[i - 1]
+            )
+            delete = previous[j] + query_weights[i - 1]
+            insert = current[j - 1] + predicate.cins * tuple_weights[j - 1]
+            current[j] = min(replace, delete, insert)
+        previous = current
+    return 1.0 - min(previous[m] / total_weight, 1.0)
+
+
+def _memo_free_soft_tfidf(predicate, query_weights, tid):
+    """Soft tf-idf calling Jaro-Winkler for every word pair."""
+    tuple_words = predicate._word_lists[tid]
+    score = 0.0
+    for word, query_weight in sorted(query_weights.items()):
+        best_similarity, best_word = 0.0, None
+        for other in tuple_words:
+            similarity = jaro_winkler(word, other)
+            if similarity > best_similarity:
+                best_similarity, best_word = similarity, other
+        if best_word is None or best_similarity <= predicate.theta:
+            continue
+        score += query_weight * predicate._doc_weights[tid].get(best_word, 0.0) * best_similarity
+    return score
+
+
+def _memo_free_scores(predicate, query):
+    words = predicate._query_words(query)
+    expected = {}
+    if isinstance(predicate, SoftTFIDF):
+        if not words:
+            return expected
+        weights = tfidf_weights(Counter(words), predicate._idf, default_idf=predicate._average_idf)
+        for tid in predicate._candidates(words):
+            score = _memo_free_soft_tfidf(predicate, weights, tid)
+            if score > 0.0:
+                expected[tid] = score
+        return expected
+    for tid in predicate._candidates(words):
+        tuple_words = predicate._word_lists[tid]
+        if (
+            isinstance(predicate, GESJaccard)
+            and predicate.filter_score(words, tuple_words) < predicate.threshold
+        ):
+            continue
+        expected[tid] = _memo_free_ges(predicate, words, tuple_words)
+    return expected
+
+
+@pytest.mark.parametrize(
+    "name, cls, kwargs",
+    [
+        ("ges", GES, {}),
+        ("ges_jaccard", GESJaccard, {"threshold": 0.3}),
+        ("ges_apx", GESApx, {"threshold": 0.53}),
+        ("soft_tfidf", SoftTFIDF, {}),
+    ],
+)
+def test_word_pair_memo_gives_memo_free_floats(name, cls, kwargs):
+    """The per-query word-pair memo returns exactly the floats of calling the
+    kernel for every pair, through _scores, _score_one and run_many."""
+    dataset = make_dataset("CU1", size=60, num_clean=15, seed=11)
+    queries = [dataset.records[tid].text for tid in dataset.sample_query_tids(6, seed=5)]
+    predicate = cls(**kwargs).fit(dataset.strings)
+    expected = [_memo_free_scores(predicate, query) for query in queries]
+    assert any(expected)
+    for query, scores in zip(queries, expected):
+        assert predicate._scores(query) == scores
+        for tid in range(len(dataset.strings)):
+            assert predicate._score_one(query, tid) == scores.get(tid, 0.0)
+    batches = (
+        SimilarityEngine()
+        .from_strings(dataset.strings)
+        .predicate(name, **kwargs)
+        .run_many(queries, op="rank")
+    )
+    for matches, scores in zip(batches, expected):
+        assert {match.tid: match.score for match in matches} == scores

@@ -80,3 +80,13 @@ class TestEditDistance:
         predicate = EditDistance().fit(company_strings)
         for scored in predicate.rank("Granite Construction Inc"):
             assert 0.0 <= scored.score <= 1.0
+
+    def test_select_keeps_tuple_exactly_at_threshold(self):
+        # (1 - 0.8) * 20 is 3.999... in floating point; the tuple is four
+        # substitutions away, so it scores exactly 0.8 and must be kept.
+        rows = ["ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMNOPWXYZ"]
+        predicate = EditDistance().fit(rows)
+        assert [(st.tid, st.score) for st in predicate.select(rows[0], 0.8)] == [
+            (0, 1.0),
+            (1, 0.8),
+        ]

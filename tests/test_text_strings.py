@@ -17,6 +17,139 @@ from repro.text.strings import (
 
 short_text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
 
+#: Astral code points, combining marks, zero-width joiners and several
+#: kinds of whitespace, drawn often enough that two strings share characters.
+_tricky_chars = st.sampled_from(
+    "ab e\u00e9\u0301\u0308\u200d\t\n\u00a0\u3000\U0001F600\U00010348"
+)
+_whitespace = st.sampled_from(" \t\n\r\u00a0\u2003\u3000")
+#: Any code point a Python ``str`` can hold (surrogates excepted).
+_any_char = st.characters(exclude_categories=("Cs",))
+
+
+def _text_of_length(alphabet):
+    # Lengths up to 150 so the bit-vector kernel runs past 64 bits.
+    return st.integers(min_value=0, max_value=150).flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n)
+    )
+
+
+unicode_text = st.one_of(
+    _text_of_length(st.one_of(_tricky_chars, _any_char)),
+    _text_of_length(_whitespace),
+)
+
+
+@st.composite
+def unicode_pairs(draw):
+    """Two unrelated strings, or a string and a few random edits of it."""
+    a = draw(unicode_text)
+    if draw(st.booleans()):
+        return a, draw(unicode_text)
+    chars = list(a)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        pos = draw(st.integers(min_value=0, max_value=len(chars)))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            chars.insert(pos, draw(_tricky_chars))
+        elif pos < len(chars):
+            if op == "delete":
+                del chars[pos]
+            else:
+                chars[pos] = draw(_tricky_chars)
+    return a, "".join(chars)
+
+
+def textbook_levenshtein(a, b):
+    """The O(|a| * |b|) Wagner-Fischer table, kept as the reference."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+def reference_jaro(a, b):
+    """Jaro with a linear scan of the match window for the first unmatched
+    equal character, kept as the reference."""
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+    match_window = max(max(la, lb) // 2 - 1, 0)
+    a_matched = [False] * la
+    b_matched = [False] * lb
+    matches = 0
+    for i, ca in enumerate(a):
+        for j in range(max(0, i - match_window), min(lb, i + match_window + 1)):
+            if b_matched[j] or b[j] != ca:
+                continue
+            a_matched[i] = b_matched[j] = True
+            matches += 1
+            break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, ca in enumerate(a):
+        if not a_matched[i]:
+            continue
+        while not b_matched[j]:
+            j += 1
+        if ca != b[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    m = float(matches)
+    return (m / la + m / lb + (m - transpositions) / m) / 3.0
+
+
+def reference_jaro_winkler(a, b):
+    base = reference_jaro(a, b)
+    prefix_len = 0
+    for ca, cb in zip(a, b):
+        if ca != cb or prefix_len >= 4:
+            break
+        prefix_len += 1
+    return base + prefix_len * 0.1 * (1.0 - base)
+
+
+class TestExactnessOracles:
+    """The fast kernels return exactly the reference values."""
+
+    @given(unicode_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_levenshtein_matches_textbook_dp(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == textbook_levenshtein(a, b)
+
+    @given(unicode_pairs(), st.integers(min_value=-1, max_value=160))
+    @settings(max_examples=100, deadline=None)
+    def test_levenshtein_within_matches_textbook_dp(self, pair, budget):
+        a, b = pair
+        exact = textbook_levenshtein(a, b)
+        assert levenshtein_within(a, b, budget) == (exact if exact <= budget else None)
+
+    @given(unicode_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_jaro_and_jaro_winkler_match_reference_loop(self, pair):
+        a, b = pair
+        assert jaro(a, b) == reference_jaro(a, b)
+        assert jaro(b, a) == reference_jaro(b, a)
+        assert jaro_winkler(a, b) == reference_jaro_winkler(a, b)
+
+    @pytest.mark.parametrize("length", [1, 29, 30, 31, 63, 64, 65, 127, 128, 129, 150])
+    def test_levenshtein_at_machine_word_boundaries(self, length):
+        pattern = "".join("abcde"[i % 5] for i in range(length))
+        for other in (pattern[::-1], pattern[1:] + "z", "x" + pattern, pattern[:-1], ""):
+            assert levenshtein(pattern, other) == textbook_levenshtein(pattern, other)
+            assert levenshtein(other, pattern) == textbook_levenshtein(pattern, other)
+
 
 class TestLevenshtein:
     def test_identical_strings(self):
@@ -85,11 +218,11 @@ class TestLevenshteinWithin:
     @settings(max_examples=100)
     def test_agrees_with_exact(self, a, b, budget):
         exact = levenshtein(a, b)
-        banded = levenshtein_within(a, b, budget)
+        within = levenshtein_within(a, b, budget)
         if exact <= budget:
-            assert banded == exact
+            assert within == exact
         else:
-            assert banded is None
+            assert within is None
 
 
 class TestEditSimilarity:
@@ -112,7 +245,7 @@ class TestEditSimilarity:
 
     @given(short_text, short_text)
     def test_symmetry(self, a, b):
-        assert edit_similarity(a, b) == pytest.approx(edit_similarity(b, a))
+        assert edit_similarity(a, b) == edit_similarity(b, a)
 
 
 class TestJaro:
